@@ -782,19 +782,21 @@ def check_chaos_anchors(
 
     A scenario absent from the baseline is skipped (new scenarios land
     with their first committed anchor); a present scenario must match
-    byte for byte.
+    byte for byte.  A baseline that matches none of the run's scenarios
+    (no ``chaos`` section, or none of these names) fails: a gate that
+    compares nothing must not pass.
     """
     chaos = baseline_data.get("chaos")
-    if not isinstance(chaos, dict):
-        return []
-    committed = chaos.get("scenarios")
+    committed = chaos.get("scenarios") if isinstance(chaos, dict) else None
     if not isinstance(committed, dict):
-        return []
+        committed = {}
     failures = []
+    compared = 0
     for result in report.scenarios:
         entry = committed.get(result.name)
         if not isinstance(entry, dict) or "anchor" not in entry:
             continue
+        compared += 1
         anchor = str(entry["anchor"])
         if result.anchor != anchor:
             failures.append(
@@ -802,4 +804,9 @@ def check_chaos_anchors(
                 f"the committed baseline {anchor} — virtual time under "
                 "faults moved"
             )
+    if compared == 0:
+        failures.append(
+            "chaos: the baseline holds no anchor for any scenario of this "
+            "run — the gate compared nothing"
+        )
     return failures

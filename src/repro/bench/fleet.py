@@ -248,16 +248,17 @@ def check_fleet_anchor(
 ) -> List[str]:
     """Gate a fresh run against the committed determinism anchor.
 
-    Returns failure strings when the baseline holds this profile and its
-    anchor differs; an absent profile is skipped (reduced CI scales only
-    gate what they measured, mirroring :func:`check_regression_data`).
+    Returns failure strings when this profile's anchor differs from the
+    baseline's.  A baseline without an anchor for this profile fails too:
+    a gate that compares nothing must not pass.
     """
     fleet = baseline_data.get("fleet")
-    if not isinstance(fleet, dict):
-        return []
-    entry = fleet.get(report.profile)
+    entry = fleet.get(report.profile) if isinstance(fleet, dict) else None
     if not isinstance(entry, dict) or "anchor" not in entry:
-        return []
+        return [
+            f"fleet {report.profile}: the baseline holds no anchor for this "
+            "profile — the gate compared nothing"
+        ]
     committed = str(entry["anchor"])
     if report.anchor != committed:
         return [

@@ -329,35 +329,29 @@ def _scales(full: int, divisor: int) -> List[int]:
 
 # ------------------------------------------------------------- persistence
 def write_report(report: PerfReport, path: Path) -> Dict[str, object]:
-    """Write ``report`` to ``path``, preserving any pre-PR baseline block.
+    """Write ``report`` to ``path``, keeping every section it does not own.
 
-    If the existing file carries a ``baseline_pre_pr`` section (the
-    numbers measured on the unoptimized implementation), it is carried
-    forward and the speedup factors are recomputed against it.  The
-    ``fleet`` and ``query`` sections (owned by ``bench fleet`` and
-    ``bench query``) are carried forward untouched as well.
+    ``BENCH_PERF.json`` is shared across experiments: this writer owns
+    ``measurements`` and ``speedup_vs_pre_pr`` only.  Every other section
+    of an existing file (``baseline_pre_pr`` and the ``fleet``, ``query``
+    and ``chaos`` sections written by the other experiments) is carried
+    forward untouched.  When a ``baseline_pre_pr`` block (the numbers
+    measured on the unoptimized implementation) is present, the speedup
+    factors are recomputed against it.
     """
-    document: Dict[str, object] = report.to_dict()
-    baseline: Optional[Dict[str, object]] = None
-    fleet: Optional[Dict[str, object]] = None
-    query: Optional[Dict[str, object]] = None
+    document: Dict[str, object] = {}
     if path.exists():
         try:
             previous = json.loads(path.read_text())
-            baseline = previous.get("baseline_pre_pr")
-            fleet = previous.get("fleet")
-            query = previous.get("query")
         except (json.JSONDecodeError, OSError):
-            baseline = None
-            fleet = None
-            query = None
+            previous = None
+        if isinstance(previous, dict):
+            document = previous
+    document.update(report.to_dict())
+    document.pop("speedup_vs_pre_pr", None)
+    baseline = document.get("baseline_pre_pr")
     if baseline:
-        document["baseline_pre_pr"] = baseline
         document["speedup_vs_pre_pr"] = _speedups(report, baseline)
-    if fleet:
-        document["fleet"] = fleet
-    if query:
-        document["query"] = query
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return document
 

@@ -637,9 +637,10 @@ class HyperProvClient:
         obj = storage.get_object(record.checksum)
         if obj is None:
             raise NotFoundError(f"data for key {key!r} is missing from off-chain storage")
-        verified = checksum_of(obj.data) == record.checksum
+        actual = checksum_of(obj.data)
+        verified = actual == record.checksum
         if not verified:
-            raise ChecksumMismatchError(record.checksum, checksum_of(obj.data))
+            raise ChecksumMismatchError(record.checksum, actual)
         latency = (receipt.completed_at - start)
         self.metrics.histogram("get_data_latency_s").observe(latency)
         return DataResult(

@@ -68,6 +68,14 @@ def _wall_clock() -> float:
 #: error in wall time (a 300 s fleet run takes 60 barriers).
 DEFAULT_WINDOW_S = 5.0
 
+#: Wall-clock budget, in seconds, for joining every worker after a
+#: successful run; stragglers past it are terminated.
+TEARDOWN_TIMEOUT_S = 60.0
+
+#: A worker pipe that closed or reset under the coordinator: the worker
+#: process died without reporting an error.
+_LOST_WORKER = (EOFError, ConnectionResetError, BrokenPipeError)
+
 #: LAN propagation floor: no simulated cause→effect crosses a link faster
 #: than this, so the conservative lookahead never needs to be smaller.
 MIN_LOOKAHEAD_S = 0.001
@@ -240,7 +248,10 @@ def _site_worker(spec: FleetSpec, sites: List[int], worker: int,
         }
         conn.send(("done", payload))
     except Exception:  # noqa: BLE001 - reported to the coordinator
-        conn.send(("error", traceback.format_exc()))
+        try:
+            conn.send(("error", traceback.format_exc()))
+        except OSError:  # the coordinator already hung up
+            pass
     finally:
         conn.close()
 
@@ -284,6 +295,7 @@ def run_fleet_parallel(
     # move to the permanent generation, which child collections skip.
     gc.collect()
     gc.freeze()
+    completed = False
     try:
         for worker, sites in enumerate(assignments):
             parent_conn, child_conn = context.Pipe()
@@ -297,25 +309,29 @@ def run_fleet_parallel(
             processes.append(process)
             pipes.append(parent_conn)
 
-        submitted = 0
-        for conn in pipes:
-            submitted += _expect(conn, "ready")
+        links = [
+            (conn, f"fleet worker {worker} (sites {sites})")
+            for worker, (conn, sites) in enumerate(zip(pipes, assignments))
+        ]
+        submitted = sum(_expect(conn, "ready", who) for conn, who in links)
 
         windows = window_count(horizon, lookahead)
-        for _ in range(windows):
-            for conn in pipes:
-                conn.send("advance")
-            for conn in pipes:
-                _expect(conn, "window")
+        for window in range(windows):
+            for conn, who in links:
+                try:
+                    conn.send("advance")
+                except _LOST_WORKER as exc:
+                    raise _worker_error(who, "window", window, _died(exc)) from exc
+            for conn, who in links:
+                _expect(conn, "window", who, window)
 
-        payloads = [_expect(conn, "done") for conn in pipes]
+        payloads = [_expect(conn, "done", who) for conn, who in links]
+        completed = True
     finally:
         for conn in pipes:
             conn.close()
-        for process in processes:
-            process.join(timeout=60)
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
+        # A failed run has nothing left to collect: stop the survivors now.
+        _join_workers(processes, TEARDOWN_TIMEOUT_S if completed else 0.0)
         gc.unfreeze()
 
     lines_by_site: Dict[int, List[str]] = {}
@@ -339,14 +355,42 @@ def run_fleet_parallel(
     )
 
 
-def _expect(conn, kind: str):
-    """Receive one protocol message, unwrapping worker errors."""
-    message = conn.recv()
+def _expect(conn, kind: str, who: str, window: Optional[int] = None):
+    """Receive one protocol message of phase ``kind``, unwrapping worker errors.
+
+    Every failure, including a worker that died without reporting, is a
+    :class:`SimulationError` naming the worker and its sites (``who``),
+    the phase and, in the ``window`` phase, the barrier window.
+    """
+    try:
+        message = conn.recv()
+    except _LOST_WORKER as exc:
+        raise _worker_error(who, kind, window, _died(exc)) from exc
     if message[0] == "error":
-        raise SimulationError(f"fleet worker failed:\n{message[1]}")
+        raise _worker_error(who, kind, window, f"failed:\n{message[1]}")
     if message[0] != kind:
-        raise SimulationError(f"expected {kind!r} from worker, got {message[0]!r}")
+        raise _worker_error(who, kind, window, f"sent an unexpected {message[0]!r}")
     return message[1]
+
+
+def _died(exc: BaseException) -> str:
+    return f"died without reporting an error ({type(exc).__name__})"
+
+
+def _worker_error(who: str, phase: str, window: Optional[int], what: str) -> SimulationError:
+    at = "" if window is None else f" (window {window})"
+    return SimulationError(f"{who} in the {phase!r} phase{at} {what}")
+
+
+def _join_workers(processes: Sequence, timeout_s: float) -> None:
+    """Join every worker within one shared ``timeout_s``, then terminate the rest."""
+    deadline = _wall_clock() + timeout_s
+    for process in processes:
+        process.join(timeout=max(0.0, deadline - _wall_clock()))
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=5.0)
 
 
 def _run_parallel_inline(

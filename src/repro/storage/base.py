@@ -42,8 +42,16 @@ class StorageBackend(ABC):
     scheme: str = "mem"
 
     @abstractmethod
-    def store(self, path: str, data: bytes, at_time: float = 0.0) -> StorageReceipt:
-        """Persist ``data`` under ``path``; returns a receipt with the cost."""
+    def store(
+        self, path: str, data: bytes, at_time: float = 0.0, checksum: Optional[str] = None
+    ) -> StorageReceipt:
+        """Persist ``data`` under ``path``; returns a receipt with the cost.
+
+        ``checksum`` is ``sha256(data)`` when the caller already has it
+        (:class:`~repro.storage.content.ContentAddressedStore` does); the
+        backend records it as given.  When omitted, the backend derives it
+        with :meth:`checksum`.
+        """
 
     @abstractmethod
     def retrieve(self, path: str, at_time: float = 0.0) -> StorageReceipt:

@@ -3,6 +3,10 @@
 HyperProv's data pointers are derived from the content checksum, so the
 same payload stored twice resolves to the same location and the on-chain
 record's checksum doubles as the retrieval key.
+
+This layer owns the write-path checksum: :meth:`ContentAddressedStore.put`
+hashes each payload exactly once and hands the digest to the backend's
+``store``, which records it instead of hashing the bytes again.
 """
 
 from __future__ import annotations
@@ -24,7 +28,11 @@ class ContentAddressedStore:
         return f"{self.prefix}/{checksum[:2]}/{checksum}"
 
     def put(self, data: bytes, at_time: float = 0.0, **kwargs) -> StorageReceipt:
-        """Store ``data`` under its content address (idempotent)."""
+        """Store ``data`` under its content address (idempotent).
+
+        The checksum computed here names the object and is passed through
+        to the backend, so the payload is hashed once per ``put``.
+        """
         checksum = self.backend.checksum(data)
         path = self.path_for(checksum)
         if self.backend.exists(path):
@@ -37,7 +45,7 @@ class ContentAddressedStore:
                 duration_s=0.0,
                 completed_at=at_time,
             )
-        return self.backend.store(path, data, at_time=at_time, **kwargs)
+        return self.backend.store(path, data, at_time=at_time, checksum=checksum, **kwargs)
 
     def get(self, checksum: str, at_time: float = 0.0, **kwargs) -> StorageReceipt:
         """Retrieve the payload whose checksum is ``checksum``."""

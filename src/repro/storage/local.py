@@ -38,8 +38,11 @@ class LocalStorageBackend(StorageBackend):
         _, end = self.device.occupy("disk", at_time, duration, label="local-storage")
         return end - at_time
 
-    def store(self, path: str, data: bytes, at_time: float = 0.0) -> StorageReceipt:
-        checksum = self.checksum(data)
+    def store(
+        self, path: str, data: bytes, at_time: float = 0.0, checksum: Optional[str] = None
+    ) -> StorageReceipt:
+        if checksum is None:
+            checksum = self.checksum(data)
         duration = self._disk_cost(len(data), at_time, write=True)
         self._objects[path] = StoredObject(
             path=path, data=bytes(data), checksum=checksum, stored_at=at_time + duration

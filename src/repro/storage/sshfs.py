@@ -81,6 +81,7 @@ class SSHFSStorageBackend(StorageBackend):
         path: str,
         data: bytes,
         at_time: float = 0.0,
+        checksum: Optional[str] = None,
         client_device: Optional[DeviceModel] = None,
         client_node: Optional[str] = None,
     ) -> StorageReceipt:
@@ -88,8 +89,11 @@ class SSHFSStorageBackend(StorageBackend):
 
         ``client_device``/``client_node`` identify where the upload
         originates; without them only the storage-side costs are charged.
+        The client-side hash cost is charged on the virtual clock whether
+        or not the caller passed a precomputed ``checksum``.
         """
-        checksum = self.checksum(data)
+        if checksum is None:
+            checksum = self.checksum(data)
         cursor = at_time
         cursor += self._client_side_cost(client_device, len(data), cursor, f"sshfs-put:{path}")
 

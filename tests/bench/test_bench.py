@@ -292,6 +292,32 @@ def test_perf_report_carries_baseline_forward(tmp_path):
     }
 
 
+def test_perf_report_keeps_every_section(tmp_path):
+    import json
+
+    from repro.bench.perf import PerfMeasurement, PerfReport, write_report
+
+    output = tmp_path / "BENCH_PERF.json"
+    row = {"workload": "commit-heavy", "scale": 8, "operations": 8,
+           "wall_s": 1.0, "wall_ops_per_s": 8.0, "virtual_mean_s": 0.1}
+    sections = {
+        "baseline_pre_pr": {"measurements": [row]},
+        "measurements": [dict(row, wall_ops_per_s=1.0)],
+        "fleet": {"500x2": {"anchor": "a" * 64}},
+        "query": {"measurements": [], "speedup_indexed_vs_scan": {}},
+        "chaos": {"seed": 1, "repeats": 1, "scenarios": {"x": {"anchor": "b" * 64}}},
+    }
+    output.write_text(json.dumps(sections))
+    report = PerfReport([PerfMeasurement("commit-heavy", 8, 8, 0.5, 16.0, 0.1)])
+    document = write_report(report, output)
+    on_disk = json.loads(output.read_text())
+    assert on_disk == document
+    for name in ("baseline_pre_pr", "fleet", "query", "chaos"):
+        assert on_disk[name] == sections[name]
+    assert on_disk["measurements"] == report.to_dict()["measurements"]
+    assert on_disk["speedup_vs_pre_pr"] == {"commit-heavy@8": 2.0}
+
+
 def test_perf_regression_gate(tmp_path):
     import json
 

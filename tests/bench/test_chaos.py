@@ -1,6 +1,7 @@
 """Chaos bench: scenario smoke, persistence merge and the anchor gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.bench.chaos import (
     run_chaos,
     write_chaos_entry,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +83,22 @@ class TestAnchorGate:
         assert len(failures) == 1
         assert "partition_heal" in failures[0]
 
-    def test_absent_scenario_and_absent_section_are_skipped(self, report):
-        assert check_chaos_anchors(report, {}) == []
-        partial = {"chaos": {"scenarios": {}}}
-        assert check_chaos_anchors(report, partial) == []
+    def test_absent_scenario_is_skipped(self, report):
+        baseline = self.baseline_for(report)
+        del baseline["chaos"]["scenarios"]["partition_heal"]
+        assert check_chaos_anchors(report, baseline) == []
+
+    def test_absent_section_fails_the_gate(self, report):
+        for baseline in ({}, {"chaos": {"scenarios": {}}}):
+            failures = check_chaos_anchors(report, baseline)
+            assert len(failures) == 1
+            assert "compared nothing" in failures[0]
+
+    def test_committed_baseline_without_chaos_fails_the_gate(self, report):
+        committed = json.loads((REPO_ROOT / "BENCH_PERF.json").read_text())
+        assert check_chaos_anchors(report, committed) == []
+        del committed["chaos"]
+        assert check_chaos_anchors(report, committed) != []
 
     def test_double_pass_mismatch_fails_the_full_profile(self, monkeypatch):
         calls = {"count": 0}

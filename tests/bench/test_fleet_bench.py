@@ -88,9 +88,10 @@ class TestPersistence:
         bad = {"fleet": {tiny_report.profile: {"anchor": "0" * 64}}}
         failures = check_fleet_anchor(tiny_report, bad)
         assert failures and "anchor" in failures[0]
-        # Absent profile or section: skipped, mirroring the perf gate.
-        assert check_fleet_anchor(tiny_report, {}) == []
-        assert check_fleet_anchor(tiny_report, {"fleet": {}}) == []
+        # Absent profile or section: the gate compared nothing, so it fails.
+        for empty in ({}, {"fleet": {}}, {"fleet": {"500x2": {"anchor": "0" * 64}}}):
+            failures = check_fleet_anchor(tiny_report, empty)
+            assert len(failures) == 1 and "compared nothing" in failures[0]
 
 
 class TestCli:

@@ -10,7 +10,12 @@ import pytest
 
 from repro.api.protocol import StoreRequest
 from repro.chaincode.records import ProvenanceRecord
-from repro.common.errors import ChaincodeError, NotFoundError, ValidationError
+from repro.common.errors import (
+    ChaincodeError,
+    ChecksumMismatchError,
+    NotFoundError,
+    ValidationError,
+)
 from repro.common.hashing import checksum_of
 from repro.core.client import HyperProvClient
 
@@ -81,8 +86,10 @@ def test_get_data_detects_offchain_tampering(desktop_deployment):
     backend._objects[path] = type(obj)(
         path=obj.path, data=b"corrupted", checksum=obj.checksum, stored_at=obj.stored_at
     )
-    with pytest.raises(Exception):
+    with pytest.raises(ChecksumMismatchError) as info:
         client.get_data("tamper/1")
+    assert info.value.expected == post.record.checksum
+    assert info.value.actual == checksum_of(b"corrupted")
 
 
 def test_verify_accepts_bytes_and_checksums(desktop_deployment):

@@ -6,12 +6,16 @@ same submit/commit timestamps, same validation codes and block numbers —
 for the same spec, with churn and a partition window enabled.
 """
 
+import multiprocessing
+import os
+
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.consensus.batching import BatchConfig
 from repro.core.topology import DeploymentSpec, build_deployment
 from repro.devices.profiles import DESKTOP_PROFILES, XEON_E5_1603
+from repro.simulation import parallel
 from repro.simulation.parallel import (
     DEFAULT_WINDOW_S,
     MIN_LOOKAHEAD_S,
@@ -135,3 +139,36 @@ class TestDeploymentWorkersKnob:
         spec.workers = 0
         with pytest.raises(ConfigurationError):
             build_deployment(spec)
+
+
+class TestWorkerFailure:
+    """A worker that dies without reporting surfaces as a typed error."""
+
+    def kill_worker_one(self, monkeypatch, during_window: bool):
+        original = parallel._prepare_worker_deployment
+
+        def prepare(spec, sites):
+            if list(sites) != [1]:
+                return original(spec, sites)
+            if not during_window:
+                os._exit(3)
+            deployment, submitted = original(spec, sites)
+            deployment.engine.run = lambda until: os._exit(3)
+            return deployment, submitted
+
+        monkeypatch.setattr(parallel, "_prepare_worker_deployment", prepare)
+
+    @pytest.mark.parametrize("during_window, where", [
+        (False, "in the 'ready' phase died"),
+        (True, "in the 'window' phase (window 0) died"),
+    ])
+    def test_killed_worker_raises_simulation_error(self, monkeypatch, during_window, where):
+        self.kill_worker_one(monkeypatch, during_window)
+        spec = property_spec(devices=20, duration_s=20.0, partition_windows=())
+        with pytest.raises(SimulationError) as info:
+            run_fleet_parallel(spec, workers=2)
+        message = str(info.value)
+        assert message.startswith("fleet worker 1 (sites [1]) ")
+        assert where in message
+        assert isinstance(info.value.__cause__, (EOFError, ConnectionResetError))
+        assert multiprocessing.active_children() == []

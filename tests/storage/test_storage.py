@@ -1,5 +1,7 @@
 """Tests for the off-chain storage backends and content addressing."""
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import ChecksumMismatchError, NotFoundError
@@ -155,3 +157,77 @@ def test_content_store_path_layout(sshfs):
     store = ContentAddressedStore(sshfs, prefix="objects")
     checksum = checksum_of(b"z")
     assert store.path_for(checksum) == f"objects/{checksum[:2]}/{checksum}"
+
+
+# ------------------------------------------------------- one hash per payload
+@pytest.fixture
+def hashed_bytes(monkeypatch):
+    """Count the bytes hashed through ``repro.common.hashing``."""
+    from repro.common import hashing
+
+    counted = []
+    for name in ("sha256_hex", "sha256_bytes"):
+        original = getattr(hashing, name)
+
+        def wrapper(data, _original=original):
+            counted.append(len(data))
+            return _original(data)
+
+        monkeypatch.setattr(hashing, name, wrapper)
+    return counted
+
+
+@pytest.fixture
+def local():
+    return LocalStorageBackend()
+
+
+@pytest.mark.parametrize("backend_name", ["sshfs", "local"])
+def test_content_put_hashes_each_payload_byte_once(request, backend_name, hashed_bytes):
+    store = ContentAddressedStore(request.getfixturevalue(backend_name))
+    data = bytes(range(256)) * 64
+    receipt = store.put(data)
+    assert sum(hashed_bytes) == len(data)
+    expected = hashlib.sha256(data).hexdigest()
+    assert receipt.checksum == expected
+    assert store.get_object(expected).checksum == expected
+
+
+@pytest.mark.parametrize("backend_name", ["sshfs", "local"])
+def test_content_put_dedupe_receipt_keeps_checksum(request, backend_name, hashed_bytes):
+    store = ContentAddressedStore(request.getfixturevalue(backend_name))
+    data = b"dedupe me" * 100
+    first = store.put(data, at_time=1.0)
+    second = store.put(data, at_time=5.0)
+    expected = hashlib.sha256(data).hexdigest()
+    assert first.checksum == second.checksum == expected
+    assert second.path == first.path
+    assert second.duration_s == 0.0
+    assert second.completed_at == 5.0
+    # The dedupe check still hashes the payload once to find its address.
+    assert sum(hashed_bytes) == 2 * len(data)
+
+
+@pytest.mark.parametrize("backend_name", ["sshfs", "local"])
+def test_direct_store_without_checksum_derives_it(request, backend_name):
+    backend = request.getfixturevalue(backend_name)
+    data = b"stored without a checksum"
+    receipt = backend.store("direct/1", data)
+    expected = hashlib.sha256(data).hexdigest()
+    assert receipt.checksum == expected
+    assert backend.get_object("direct/1").checksum == expected
+
+
+def test_precomputed_checksum_keeps_sshfs_virtual_cost():
+    data = b"q" * 64 * 1024
+    costs = []
+    for checksum in (None, checksum_of(data)):
+        fabric = NetworkFabric(engine=SimulationEngine(), rng=DeterministicRandom(1))
+        fabric.register_node("client-host", profile=RASPBERRY_PI_3B_PLUS.nic)
+        storage = DeviceModel("storage", XEON_E5_1603, rng=DeterministicRandom(2))
+        client = DeviceModel("client", RASPBERRY_PI_3B_PLUS, rng=DeterministicRandom(3))
+        receipt = SSHFSStorageBackend(network=fabric, storage_device=storage).store(
+            "k", data, checksum=checksum, client_device=client, client_node="client-host"
+        )
+        costs.append((receipt.duration_s, receipt.completed_at))
+    assert costs[0] == costs[1]
