@@ -2,10 +2,9 @@
 
 Each adapter translates the protocol's typed envelopes onto one backend's
 internal machinery — the HyperProv client pipeline, the central database,
-or the PoW chain — so callers never touch the three historical ad-hoc
-surfaces.  The adapters call the backends' *internal* implementations
-(`_store_data_impl`, `_execute`, …), which is what lets the legacy public
-methods shrink to deprecated shims without double-dispatching.
+or the PoW chain.  The adapters are the only public path to a backend's
+writes and lookups: they call its internal implementations
+(``_post``, ``_store_data_impl``, ``_execute``, …) directly.
 """
 
 from __future__ import annotations

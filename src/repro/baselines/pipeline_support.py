@@ -1,7 +1,8 @@
 """Shared pipeline wiring for the baseline provenance stores.
 
-Both baselines (central DB, PoW chain) expose the same three operations
-— ``store_record`` / ``get`` / ``history`` — and route them through a
+Both baselines (central DB, PoW chain) serve the same three operations
+— ``store_record`` / ``get`` / ``history`` — to their ``ProvenanceStore``
+adapter and route them through a
 :class:`~repro.middleware.base.TransactionPipeline` the same way.  This
 mixin holds that wiring once: subclasses implement ``_store_record_impl``,
 ``_get_impl`` and ``_history_impl`` and call :meth:`_init_pipeline` from

@@ -48,7 +48,6 @@ speed.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api.protocol import StoreRequest
 from repro.bench.perf import PerfRegressionError
-from repro.bench.reporting import ResultTable, format_seconds
+from repro.bench.reporting import ResultTable, format_seconds, update_report
 from repro.common.hashing import checksum_of
 from repro.consensus.batching import BatchConfig
 from repro.core.client import HyperProvClient
@@ -759,20 +758,8 @@ def run_chaos(smoke: bool = False, seed: int = CHAOS_SEED) -> ChaosBenchReport:
 
 # ------------------------------------------------------------- persistence
 def write_chaos_entry(report: ChaosBenchReport, path: Path) -> Dict[str, object]:
-    """Merge the chaos anchors into ``path`` without touching other sections.
-
-    Follows the ``bench fleet`` discipline: ``BENCH_PERF.json`` is shared
-    across experiments, so this writer only replaces the ``chaos`` section.
-    """
-    document: Dict[str, object] = {}
-    if path.exists():
-        try:
-            document = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            document = {}
-    document["chaos"] = report.to_dict()
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return document
+    """Replace the ``chaos`` section of ``path``; keep every other section."""
+    return update_report(path, lambda document: document.update(chaos=report.to_dict()))
 
 
 def check_chaos_anchors(

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.bench import (
     run_baseline_comparison,
@@ -173,24 +174,33 @@ def _run_sharding(args: argparse.Namespace) -> str:
     return "\n\n".join([ablation.to_table().render(), fairness.to_table().render()])
 
 
+def _load_baseline(args: argparse.Namespace, experiment: str) -> Optional[Dict[str, Any]]:
+    """The ``--perf-baseline`` document, or ``None`` when no gate was asked for.
+
+    Callers load it BEFORE writing their report: with the default
+    ``--perf-output`` the baseline and the output may be the same file,
+    and reading it back after the write would compare the run against
+    itself.  A missing or corrupt baseline fails the gate cleanly —
+    silently skipping it would let regressions through CI.
+    """
+    if not args.perf_baseline:
+        return None
+    baseline = Path(args.perf_baseline)
+    try:
+        data = json.loads(baseline.read_text())
+    except (OSError, ValueError) as exc:
+        raise PerfRegressionError(
+            f"{experiment} baseline {baseline} is unreadable: {exc!r}"
+        ) from exc
+    if not isinstance(data, dict):
+        raise PerfRegressionError(
+            f"{experiment} baseline {baseline} is not a JSON object"
+        )
+    return data
+
+
 def _run_perf(args: argparse.Namespace) -> str:
-    import json
-
-    # Load the baseline BEFORE writing the report: with the default
-    # --perf-output, baseline and output may be the same file, and reading
-    # it back after the write would compare the run against itself.
-    baseline_data = None
-    if args.perf_baseline:
-        baseline = Path(args.perf_baseline)
-        try:
-            baseline_data = json.loads(baseline.read_text())
-        except (OSError, ValueError) as exc:
-            # A missing or corrupt baseline must fail the gate cleanly —
-            # silently skipping it would let regressions through CI.
-            raise PerfRegressionError(
-                f"perf baseline {baseline} is unreadable: {exc!r}"
-            ) from exc
-
+    baseline_data = _load_baseline(args, "perf")
     report = run_perf(
         commit_requests=args.perf_requests,
         keys=args.perf_keys,
@@ -233,20 +243,7 @@ def _run_perf(args: argparse.Namespace) -> str:
 
 
 def _run_fleet(args: argparse.Namespace) -> str:
-    import json
-
-    # Same load-before-write discipline as _run_perf: with the default
-    # --perf-output the baseline and the output are the same file.
-    baseline_data = None
-    if args.perf_baseline:
-        baseline = Path(args.perf_baseline)
-        try:
-            baseline_data = json.loads(baseline.read_text())
-        except (OSError, ValueError) as exc:
-            raise PerfRegressionError(
-                f"fleet baseline {baseline} is unreadable: {exc!r}"
-            ) from exc
-
+    baseline_data = _load_baseline(args, "fleet")
     report = run_fleet(
         devices=args.fleet_devices,
         shards=args.fleet_shards,
@@ -277,20 +274,7 @@ def _run_fleet(args: argparse.Namespace) -> str:
 
 
 def _run_chaos(args: argparse.Namespace) -> str:
-    import json
-
-    # Same load-before-write discipline as _run_perf: with the default
-    # --perf-output the baseline and the output are the same file.
-    baseline_data = None
-    if args.perf_baseline:
-        baseline = Path(args.perf_baseline)
-        try:
-            baseline_data = json.loads(baseline.read_text())
-        except (OSError, ValueError) as exc:
-            raise PerfRegressionError(
-                f"chaos baseline {baseline} is unreadable: {exc!r}"
-            ) from exc
-
+    baseline_data = _load_baseline(args, "chaos")
     report = run_chaos(smoke=args.smoke, seed=args.chaos_seed)
     output = Path(args.perf_output)
     write_chaos_entry(report, output)

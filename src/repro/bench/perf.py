@@ -23,19 +23,18 @@ ledger optimizations target:
     read workload the ledger index accelerates end to end.
 
 Results are written to ``BENCH_PERF.json`` (repo root by default) so the
-perf trajectory has committed data points; ``check_regression`` compares
+perf trajectory has committed data points; ``check_regression_data`` compares
 a fresh run against a committed baseline for the CI perf-smoke gate.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.reporting import ResultTable, format_seconds
+from repro.bench.reporting import ResultTable, format_seconds, update_report
 from repro.bench.runner import RunConfig, StoreDataRunner
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.hashing import checksum_of
@@ -331,29 +330,21 @@ def _scales(full: int, divisor: int) -> List[int]:
 def write_report(report: PerfReport, path: Path) -> Dict[str, object]:
     """Write ``report`` to ``path``, keeping every section it does not own.
 
-    ``BENCH_PERF.json`` is shared across experiments: this writer owns
-    ``measurements`` and ``speedup_vs_pre_pr`` only.  Every other section
-    of an existing file (``baseline_pre_pr`` and the ``fleet``, ``query``
-    and ``chaos`` sections written by the other experiments) is carried
-    forward untouched.  When a ``baseline_pre_pr`` block (the numbers
-    measured on the unoptimized implementation) is present, the speedup
-    factors are recomputed against it.
+    This writer owns ``measurements`` and ``speedup_vs_pre_pr`` only
+    (see :func:`~repro.bench.reporting.update_report`).  When a
+    ``baseline_pre_pr`` block (the numbers measured on the unoptimized
+    implementation) is present, the speedup factors are recomputed
+    against it.
     """
-    document: Dict[str, object] = {}
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            previous = None
-        if isinstance(previous, dict):
-            document = previous
-    document.update(report.to_dict())
-    document.pop("speedup_vs_pre_pr", None)
-    baseline = document.get("baseline_pre_pr")
-    if baseline:
-        document["speedup_vs_pre_pr"] = _speedups(report, baseline)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return document
+
+    def replace_section(document: Dict[str, object]) -> None:
+        document.update(report.to_dict())
+        document.pop("speedup_vs_pre_pr", None)
+        baseline = document.get("baseline_pre_pr")
+        if baseline:
+            document["speedup_vs_pre_pr"] = _speedups(report, baseline)
+
+    return update_report(path, replace_section)
 
 
 def _speedups(report: PerfReport, baseline: Dict[str, object]) -> Dict[str, float]:
@@ -366,40 +357,32 @@ def _speedups(report: PerfReport, baseline: Dict[str, object]) -> Dict[str, floa
     return speedups
 
 
-def check_regression(
-    report: PerfReport,
-    baseline_path: Path,
-    tolerance: float = 3.0,
-) -> List[str]:
-    """Compare ``report`` against a committed baseline file.
-
-    Returns a list of human-readable failures for every matching
-    (workload, scale) pair whose wall-clock throughput fell more than
-    ``tolerance``× below the baseline.  Non-matching scales are skipped so
-    reduced CI profiles only gate the pairs they actually measured.
-    """
-    return check_regression_data(
-        report, json.loads(baseline_path.read_text()), tolerance
-    )
-
-
 def check_regression_data(
     report: PerfReport,
     data: Dict[str, object],
     tolerance: float = 3.0,
 ) -> List[str]:
-    """:func:`check_regression` against already-loaded baseline JSON.
+    """Compare ``report`` against already-loaded baseline JSON.
 
-    Callers that also *write* a report should load the baseline first and
-    gate via this function — if output and baseline name the same file,
-    reading after writing would compare the run against itself.
+    Returns a list of human-readable failures for every matching
+    (workload, scale) pair whose wall-clock throughput fell more than
+    ``tolerance``× below the baseline.  Non-matching rows are skipped so
+    reduced profiles only gate the pairs they actually measured, but a
+    baseline that matches none of the run's rows fails: a gate that
+    compares nothing must not pass.
+
+    Callers that also *write* a report should load the baseline first —
+    if output and baseline name the same file, reading after writing
+    would compare the run against itself.
     """
     failures: List[str] = []
+    compared = 0
     for entry in data.get("measurements", []):
         old = PerfMeasurement.from_dict(entry)
         new = report.find(old.workload, old.scale)
         if new is None:
             continue
+        compared += 1
         floor = old.wall_ops_per_s / tolerance
         if new.wall_ops_per_s < floor:
             failures.append(
@@ -407,6 +390,11 @@ def check_regression_data(
                 f"the regression floor {floor:.1f} "
                 f"(baseline {old.wall_ops_per_s:.1f}, tolerance {tolerance}x)"
             )
+    if compared == 0:
+        failures.append(
+            "perf: the baseline holds no measurement matching this run's "
+            "workloads and scales — the gate compared nothing"
+        )
     return failures
 
 

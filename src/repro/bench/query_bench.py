@@ -22,14 +22,13 @@ CI perf-smoke gate asserts the committed speedup floor via
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.perf import PerfRegressionError, _preload_world_state
-from repro.bench.reporting import ResultTable, format_seconds
+from repro.bench.reporting import ResultTable, format_seconds, update_report
 from repro.core.topology import build_desktop_deployment
 
 #: The multi-field selector both modes run — equality on two record
@@ -232,17 +231,8 @@ def run_query_bench(
 
 # ------------------------------------------------------------- persistence
 def write_query_entry(report: QueryBenchReport, path: Path) -> Dict[str, object]:
-    """Merge the ``query`` section into ``path``, leaving every other
-    section (perf measurements, ``baseline_pre_pr``, ``fleet``) untouched."""
-    document: Dict[str, object] = {}
-    if path.exists():
-        try:
-            document = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            document = {}
-    document["query"] = report.to_dict()
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return document
+    """Replace the ``query`` section of ``path``; keep every other section."""
+    return update_report(path, lambda document: document.update(query=report.to_dict()))
 
 
 def check_query_gate(

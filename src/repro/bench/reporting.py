@@ -4,8 +4,34 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Sequence
+
+
+def update_report(
+    path: Path, replace_section: Callable[[Dict[str, Any]], None]
+) -> Dict[str, Any]:
+    """Read the shared JSON report at ``path``, replace one section, write it.
+
+    ``BENCH_PERF.json`` is shared across experiments: each experiment's
+    ``replace_section`` rewrites only the section it owns in the loaded
+    document, so every other section is carried forward untouched.  A
+    missing or unreadable file starts from an empty document.  Returns the
+    document as written.
+    """
+    document: Dict[str, Any] = {}
+    if path.exists():
+        try:
+            previous = json.loads(path.read_text())
+        except (json.JSONDecodeError, OSError):
+            previous = None
+        if isinstance(previous, dict):
+            document = previous
+    replace_section(document)
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    return document
 
 
 def format_si(value: float, unit: str = "") -> str:

@@ -12,6 +12,13 @@ from typing import Any, Callable, Dict, List, Set
 
 EventHandler = Callable[[str, Any], None]
 
+#: Topic carrying each delivered block with its per-peer commit results
+#: (covers deletes and foreign writes); published once per block.
+BLOCK_DELIVERED_TOPIC = "block_delivered"
+#: Batched counterpart: every block delivered in one barrier window,
+#: published together when the network runs with ``batch_commit_delivery``.
+COMMIT_BATCH_TOPIC = "commit_batch"
+
 
 @dataclass
 class Subscription:

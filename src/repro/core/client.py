@@ -1,24 +1,26 @@
 """The HyperProv client library.
 
 Wraps a :class:`~repro.fabric.network.FabricNetwork` and an off-chain
-storage backend behind the operator set described in the paper:
+storage backend behind the operator set described in the paper.  The
+write and lookup operators are served through :meth:`HyperProvClient.as_store`
+(the unified :class:`repro.api.ProvenanceStore` protocol):
 
-================  ===========================================================
-Operator          Behaviour
-================  ===========================================================
-``init``          Sanity-check that the chaincode is instantiated and the
-                  client identity validates against the channel MSP.
-``post``          Record provenance metadata for data that is already stored
-                  somewhere (checksum + location + dependencies + metadata).
-``get``           Latest on-chain provenance record for a key.
-``get_key_history``  Every recorded version of a key (operation history).
-``check_hash``    Verify a checksum (or raw data) against the chain.
-``store_data``    Store the data off-chain *and* post its provenance record.
-``get_data``      Resolve the on-chain pointer, fetch the data off-chain and
-                  verify its checksum against the chain.
-``get_dependencies``  The dependency list of a key's latest record.
-``get_lineage``   Full OPM lineage report built from committed history.
-================  ===========================================================
+====================  =======================================================
+Paper operator        Served by
+====================  =======================================================
+Post                  ``submit(StoreRequest(key, checksum=, location=))`` —
+                      metadata for data that is already stored elsewhere.
+StoreData             ``submit(StoreRequest(key, data=))`` — store the data
+                      off-chain *and* post its provenance record.
+Get                   ``get(key)`` — latest on-chain provenance record.
+GetKeyHistory         ``history(key)`` — every recorded version of a key.
+CheckHash             ``verify(key, data_or_checksum)`` against the chain.
+====================  =======================================================
+
+The client itself keeps the operators the protocol does not cover:
+``init`` (chaincode instantiated, identity valid), ``get_data`` (fetch and
+verify off-chain bytes), ``get_dependencies``, ``get_by_range``,
+``query_records`` and ``get_lineage`` (OPM lineage from committed history).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.chaincode.records import ProvenanceRecord
-from repro.common.deprecation import warn_deprecated
 from repro.common.errors import (
     ChaincodeError,
     ChecksumMismatchError,
@@ -107,13 +108,9 @@ class DataResult:
 class HyperProvClient:
     """High-level HyperProv API bound to one client identity.
 
-    .. deprecated::
-        The blocking operator methods (``post``, ``get``,
-        ``get_key_history``, ``check_hash``, ``store_data``) are kept as
-        thin shims over the unified :class:`repro.api.ProvenanceStore`
-        protocol; new code should use :meth:`as_store` or a
-        :class:`repro.api.HyperProvService` session (``docs/api.md`` has
-        the migration table).
+    Post, Get, GetKeyHistory, CheckHash and StoreData are served through
+    the unified :class:`repro.api.ProvenanceStore` protocol: use
+    :meth:`as_store` or a :class:`repro.api.HyperProvService` session.
     """
 
     def __init__(
@@ -290,32 +287,6 @@ class HyperProvClient:
         return True
 
     # ------------------------------------------------------------------ post
-    def post(
-        self,
-        key: str,
-        checksum: str,
-        location: str,
-        dependencies: Optional[List[str]] = None,
-        metadata: Optional[Dict[str, Any]] = None,
-        size_bytes: int = 0,
-        at_time: Optional[float] = None,
-    ) -> PostResult:
-        """Record provenance metadata for a data item already stored elsewhere.
-
-        .. deprecated:: shim over ``ProvenanceStore.submit`` (metadata-only).
-        """
-        warn_deprecated("HyperProvClient.post", "ProvenanceStore.submit")
-        return self._post(
-            "post",
-            key=key,
-            checksum=checksum,
-            location=location,
-            dependencies=dependencies,
-            metadata=metadata,
-            size_bytes=size_bytes,
-            at_time=at_time,
-        )
-
     def _post(
         self,
         operation: str,
@@ -354,14 +325,6 @@ class HyperProvClient:
         return PostResult(handle=handle, record=record)
 
     # ------------------------------------------------------------------- get
-    def get(self, key: str, at_time: Optional[float] = None) -> QueryResult:
-        """Latest provenance record for ``key``.
-
-        .. deprecated:: shim over ``ProvenanceStore.get``.
-        """
-        warn_deprecated("HyperProvClient.get", "ProvenanceStore.get")
-        return self._get_impl(key, at_time=at_time)
-
     def _get_impl(self, key: str, at_time: Optional[float] = None) -> QueryResult:
         response, latency, ctx = self._query("get", "get", [key], at_time=at_time)
         if not response.is_ok or response.payload is None:
@@ -372,14 +335,6 @@ class HyperProvClient:
             latency_s=latency,
             stale=ctx.stale,
         )
-
-    def get_key_history(self, key: str, at_time: Optional[float] = None) -> QueryResult:
-        """Every recorded version of ``key`` (oldest first).
-
-        .. deprecated:: shim over ``ProvenanceStore.history``.
-        """
-        warn_deprecated("HyperProvClient.get_key_history", "ProvenanceStore.history")
-        return self._get_key_history_impl(key, at_time=at_time)
 
     def _get_key_history_impl(
         self, key: str, at_time: Optional[float] = None
@@ -404,19 +359,6 @@ class HyperProvClient:
                 )
         self.metrics.histogram("history_latency_s").observe(latency)
         return QueryResult(payload=records, latency_s=latency, stale=ctx.stale)
-
-    def check_hash(
-        self,
-        key: str,
-        data_or_checksum: Any,
-        at_time: Optional[float] = None,
-    ) -> QueryResult:
-        """Verify data (or a precomputed checksum) against the on-chain record.
-
-        .. deprecated:: shim over ``ProvenanceStore.verify``.
-        """
-        warn_deprecated("HyperProvClient.check_hash", "ProvenanceStore.verify")
-        return self._check_hash_impl(key, data_or_checksum, at_time=at_time)
 
     def _check_hash_impl(
         self,
@@ -556,7 +498,7 @@ class HyperProvClient:
             )
         return self.storage
 
-    def store_data(
+    def _store_data_impl(
         self,
         key: str,
         data: bytes,
@@ -569,22 +511,7 @@ class HyperProvClient:
         This is the operator exercised by Fig. 1 / Fig. 2: its cost includes
         the checksum computation, the transfer to the storage node and the
         on-chain transaction.
-
-        .. deprecated:: shim over ``ProvenanceStore.submit`` (with payload).
         """
-        warn_deprecated("HyperProvClient.store_data", "ProvenanceStore.submit")
-        return self._store_data_impl(
-            key, data, dependencies=dependencies, metadata=metadata, at_time=at_time
-        )
-
-    def _store_data_impl(
-        self,
-        key: str,
-        data: bytes,
-        dependencies: Optional[List[str]] = None,
-        metadata: Optional[Dict[str, Any]] = None,
-        at_time: Optional[float] = None,
-    ) -> PostResult:
         storage = self._require_storage()
         start = self.network.engine.now if at_time is None else at_time
         receipt = self._store_payload(storage, data, start)

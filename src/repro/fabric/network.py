@@ -27,7 +27,7 @@ from repro.common.errors import (
     NetworkError,
     NotFoundError,
 )
-from repro.common.events import EventBus
+from repro.common.events import BLOCK_DELIVERED_TOPIC, COMMIT_BATCH_TOPIC, EventBus
 from repro.common.ids import DeterministicIdGenerator
 from repro.common.metrics import MetricsRegistry
 from repro.consensus.base import OrderingService
@@ -69,13 +69,12 @@ class FabricNetworkConfig:
     #: Endorsed envelopes coalesced into one orderer submission (1 = off,
     #: reproducing the unbatched per-transaction transfer exactly).
     order_batch_size: int = 1
-    #: Batched commit delivery: complete handles through a tx-indexed lookup
-    #: (O(block txs) instead of a scan over every registered client) and
-    #: buffer per-block ``block_delivered``/chaincode-event fan-out until
+    #: Commit-event granularity for observers: buffer the per-block
+    #: ``block_delivered``/chaincode-event fan-out until
     #: :meth:`FabricNetwork.flush_commit_events` publishes the whole window
-    #: as one ``commit_batch`` callback.  Virtual-time results are identical
-    #: to the per-block path — only wall-clock cost and event granularity
-    #: change.  This is the delivery mode the parallel shard workers run.
+    #: as one ``commit_batch`` callback.  Handles complete the same way and
+    #: at the same virtual times either way.  This is the delivery mode the
+    #: parallel shard workers run.
     batch_commit_delivery: bool = False
 
 
@@ -88,6 +87,8 @@ class _ClientContext:
     device: DeviceModel
     host_node: str
     anchor_peer: str
+    #: Registration position; commits complete clients in this order.
+    rank: int = 0
     pending: Dict[str, TransactionHandle] = field(default_factory=dict)
 
 
@@ -145,10 +146,9 @@ class FabricNetwork:
         self._clients: Dict[str, _ClientContext] = {}
         self._tx_ids = DeterministicIdGenerator("tx")
         self._shards: List[ChannelShard] = []
-        #: tx-id → owning client context, maintained only under
-        #: ``batch_commit_delivery`` so block commits complete handles with
-        #: an O(block txs) lookup instead of scanning every registered
-        #: client (the dominant wall-clock cost at fleet scale).
+        #: tx-id → owning client context of every pending handle, so a
+        #: block commit finds its handles with an O(block txs) lookup
+        #: instead of scanning every registered client.
         self._pending_index: Dict[str, _ClientContext] = {}
         #: Per-shard commit notifications buffered until the next
         #: :meth:`flush_commit_events` (barrier-window boundary).
@@ -302,12 +302,14 @@ class FabricNetwork:
         anchor = anchor_peer or sorted(self._shards[0].peers)[0]
         if not any(anchor in shard.peers for shard in self._shards):
             raise NotFoundError(f"anchor peer {anchor!r} is not part of the network")
+        previous = self._clients.get(name)
         self._clients[name] = _ClientContext(
             name=name,
             identity=identity,
             device=device,
             host_node=host,
             anchor_peer=anchor,
+            rank=len(self._clients) if previous is None else previous.rank,
         )
 
     def peer(self, name: str, shard: Optional[int] = None) -> Peer:
@@ -413,13 +415,12 @@ class FabricNetwork:
     ) -> None:
         """Record a handle awaiting its anchor-peer commit.
 
-        The await-commit stage routes registrations through here so that,
-        under ``batch_commit_delivery``, the network can also maintain the
-        tx-id → client index that replaces the per-block client scan.
+        The await-commit stage routes registrations through here so the
+        network can keep the tx-id → client index that block commits use
+        to find their handles.
         """
         context.pending[handle.tx_id] = handle
-        if self.config.batch_commit_delivery:
-            self._pending_index[handle.tx_id] = context
+        self._pending_index[handle.tx_id] = context
 
     def _build_proposal(
         self,
@@ -703,17 +704,16 @@ class FabricNetwork:
 
         self.metrics.counter("blocks_delivered").inc()
         if self.config.batch_commit_delivery:
-            # Handles still complete *now*, at the same virtual times as
-            # the per-block path; only the observer fan-out is deferred to
-            # the next flush_commit_events() window.
+            # Handles still complete *now*; only the observer fan-out is
+            # deferred to the next flush_commit_events() window.
             self._commit_buffers.setdefault(shard_index, []).append(
                 {"block": block, "commits": commit_results, "shard": shard_index}
             )
-            self._complete_handles_indexed(block, commit_results)
+            self._complete_handles(block, commit_results)
             return
         self._publish(
             shard,
-            "block_delivered",
+            BLOCK_DELIVERED_TOPIC,
             {"block": block, "commits": commit_results, "shard": shard_index},
         )
 
@@ -759,47 +759,28 @@ class FabricNetwork:
             )
             result = peer.deliver_block(missed, at_time + transfer)
             self.metrics.counter("catch_up_blocks").inc()
-            catch_up_commits = {peer.name: result}
-            if self.config.batch_commit_delivery:
-                self._complete_handles_indexed(missed, catch_up_commits)
-            else:
-                self._complete_handles(missed, catch_up_commits)
+            self._complete_handles(missed, {peer.name: result})
 
     def _complete_handles(self, block: Block, commit_results: Dict[str, CommitResult]) -> None:
+        """Complete the pending handles whose anchor peer committed ``block``.
 
-        # Complete the handles of every client whose anchor peer committed.
-        for context in self._clients.values():
-            result = commit_results.get(context.anchor_peer)
-            if result is None:
-                continue
-            for position, tx in enumerate(block.transactions):
-                handle = context.pending.pop(tx.tx_id, None)
-                if handle is None:
-                    continue
-                self._finish_handle(context, handle, result, position)
-
-    def _complete_handles_indexed(
-        self, block: Block, commit_results: Dict[str, CommitResult]
-    ) -> None:
-        """Complete handles via the tx-id index (batch_commit_delivery mode).
-
-        O(block txs) instead of O(clients × block txs).  Completion draws
-        (the anchor→host commit-notify transfer) happen in block-tx order
-        per client link, exactly as the scan does for any deployment where
-        clients have private host nodes, so virtual times are unchanged.
+        The block's transactions are looked up through the tx-id index;
+        a handle whose anchor peer missed this delivery (partition) stays
+        pending.  Matched handles finish in client registration order,
+        then block position: each finish draws the anchor→host notify
+        transfer, and clients sharing a host node share that link's
+        jitter stream, so this order fixes every ``committed_at``.
         """
+        matched = []
         for position, tx in enumerate(block.transactions):
             context = self._pending_index.get(tx.tx_id)
-            if context is None:
-                continue
-            result = commit_results.get(context.anchor_peer)
-            if result is None:
-                # Anchor peer missed this delivery (partition); leave the
-                # handle pending, matching the per-block scan's behaviour.
-                continue
-            del self._pending_index[tx.tx_id]
-            handle = context.pending.pop(tx.tx_id)
-            self._finish_handle(context, handle, result, position)
+            if context is not None and context.anchor_peer in commit_results:
+                matched.append((context, position, tx.tx_id))
+        matched.sort(key=lambda item: item[0].rank)
+        for context, position, tx_id in matched:
+            del self._pending_index[tx_id]
+            handle = context.pending.pop(tx_id)
+            self._finish_handle(context, handle, commit_results[context.anchor_peer], position)
 
     def _finish_handle(
         self,
@@ -862,8 +843,8 @@ class FabricNetwork:
                                 "shard": index,
                             }
                         )
-            target.events.publish_batch("commit_batch", entries)
-            self.events.publish_batch("commit_batch", entries)
+            target.events.publish_batch(COMMIT_BATCH_TOPIC, entries)
+            self.events.publish_batch(COMMIT_BATCH_TOPIC, entries)
             for event_name in sorted(events_by_name):
                 payloads = events_by_name[event_name]
                 topic = f"chaincode_event_batch:{event_name}"
@@ -982,4 +963,4 @@ class FabricNetwork:
         """
         if client_name is not None:
             return len(self.client_context(client_name).pending)
-        return sum(len(context.pending) for context in self._clients.values())
+        return len(self._pending_index)

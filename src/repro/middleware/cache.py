@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.common.errors import CircuitOpenError, NetworkError
-from repro.common.events import EventBus
+from repro.common.events import BLOCK_DELIVERED_TOPIC, COMMIT_BATCH_TOPIC, EventBus
 from repro.common.metrics import MetricsRegistry
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
@@ -21,12 +21,9 @@ UNREACHABLE_ERRORS = (NetworkError, CircuitOpenError)
 
 #: Topic carrying the chaincode event every committed ``set`` emits.
 PROVENANCE_RECORDED_TOPIC = "chaincode_event:provenance_recorded"
-#: Topic carrying whole delivered blocks (covers deletes and foreign writes).
-BLOCK_DELIVERED_TOPIC = "block_delivered"
-#: Batched counterparts published once per barrier window when the network
+#: Batched counterpart published once per barrier window when the network
 #: runs with ``batch_commit_delivery`` (the parallel executor's mode).
 PROVENANCE_RECORDED_BATCH_TOPIC = "chaincode_event_batch:provenance_recorded"
-COMMIT_BATCH_TOPIC = "commit_batch"
 
 #: Read functions whose first argument names the single key they depend on
 #: (the Fabric chaincode's read set plus the baselines' ``get``/``history``).

@@ -26,7 +26,7 @@ from types import TracebackType
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.common.errors import ValidationError
-from repro.common.events import EventBus
+from repro.common.events import BLOCK_DELIVERED_TOPIC, COMMIT_BATCH_TOPIC, EventBus
 from repro.ledger.transaction import TxValidationCode
 from repro.query.selectors import (
     RESERVED_SELECTOR_FIELDS,
@@ -34,10 +34,6 @@ from repro.query.selectors import (
     compile_selector,
     matches,
 )
-
-#: Commit-stream topics (the same ones ``middleware.cache`` invalidates on).
-BLOCK_DELIVERED_TOPIC = "block_delivered"
-COMMIT_BATCH_TOPIC = "commit_batch"
 
 #: ``callback(event)`` where ``event`` is the delivery dict below.
 DeliveryCallback = Callable[[Dict[str, Any]], None]

@@ -20,6 +20,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.common.hashing import checksum_of
+from repro.core.client import PostResult
 from repro.core.topology import build_desktop_deployment
 from repro.devices.model import DeviceModel
 from repro.devices.profiles import RASPBERRY_PI_3B_PLUS, XEON_E5_1603
@@ -178,35 +179,10 @@ def test_adapt_store_dispatches_and_caches():
     assert isinstance(adapt_store(chain), PowChainStore)
 
 
-# ------------------------------------------------------- deprecated shims
-def test_legacy_methods_still_work_but_warn(desktop_deployment):
-    client = desktop_deployment.client
-    with pytest.warns(DeprecationWarning):
-        post = client.store_data("legacy/1", b"old-api")
-    desktop_deployment.drain()
-    assert post.handle.is_valid
-    with pytest.warns(DeprecationWarning):
-        record = client.get("legacy/1").payload
-    assert record.checksum == checksum_of(b"old-api")
-    with pytest.warns(DeprecationWarning):
-        assert client.check_hash("legacy/1", b"old-api").payload
-
-
-def test_legacy_baseline_methods_still_work_but_warn():
-    device = DeviceModel("srv", XEON_E5_1603, rng=DeterministicRandom(7))
-    database = CentralProvenanceDatabase(server_device=device)
-    with pytest.warns(DeprecationWarning):
-        database.store_data("legacy/k", b"v")
-    with pytest.warns(DeprecationWarning):
-        assert database.get("legacy/k").checksum == checksum_of(b"v")
-    with pytest.warns(DeprecationWarning):
-        assert len(database.history("legacy/k")) == 1
-
-
 def test_post_result_total_latency_contract(desktop_deployment):
-    client = desktop_deployment.client
-    with pytest.warns(DeprecationWarning):
-        post = client.store_data("latency/1", b"x")
+    store = desktop_deployment.client.as_store()
+    post = store.submit(StoreRequest(key="latency/1", data=b"x")).raw
+    assert isinstance(post, PostResult)
     with pytest.raises(IncompleteTransactionError):
         _ = post.total_latency_s
     desktop_deployment.drain()

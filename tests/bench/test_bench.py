@@ -318,35 +318,83 @@ def test_perf_report_keeps_every_section(tmp_path):
     assert on_disk["speedup_vs_pre_pr"] == {"commit-heavy@8": 2.0}
 
 
-def test_perf_regression_gate(tmp_path):
+def test_every_writer_keeps_the_other_sections(tmp_path):
+    """Each experiment's writer replaces only its own section of the shared file."""
     import json
+    from types import SimpleNamespace
 
-    from repro.bench.perf import PerfMeasurement, PerfReport, check_regression
+    from repro.bench.chaos import write_chaos_entry
+    from repro.bench.fleet import write_fleet_entry
+    from repro.bench.perf import PerfMeasurement, PerfReport, write_report
+    from repro.bench.query_bench import write_query_entry
 
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(json.dumps({
+    def stub(payload, **extra):
+        return SimpleNamespace(to_dict=lambda: payload, **extra)
+
+    output = tmp_path / "BENCH_PERF.json"
+    perf = PerfReport([PerfMeasurement("commit-heavy", 8, 8, 0.5, 16.0, 0.1)])
+    write_report(perf, output)
+    write_fleet_entry(stub({"anchor": "a" * 64}, profile="20x2"), output)
+    write_query_entry(stub({"speedup_indexed_vs_scan": {"10": 12.0}}), output)
+    write_chaos_entry(stub({"scenarios": {"x": {"anchor": "b" * 64}}}), output)
+    write_fleet_entry(stub({"anchor": "c" * 64}, profile="500x2"), output)
+    document = write_report(perf, output)
+
+    assert json.loads(output.read_text()) == document
+    assert document == {
+        "measurements": perf.to_dict()["measurements"],
+        "fleet": {"20x2": {"anchor": "a" * 64}, "500x2": {"anchor": "c" * 64}},
+        "query": {"speedup_indexed_vs_scan": {"10": 12.0}},
+        "chaos": {"scenarios": {"x": {"anchor": "b" * 64}}},
+    }
+
+
+def test_perf_regression_gate():
+    from repro.bench.perf import PerfMeasurement, PerfReport, check_regression_data
+
+    baseline = {
         "measurements": [
             {"workload": "commit-heavy", "scale": 8, "operations": 8,
              "wall_s": 1.0, "wall_ops_per_s": 900.0, "virtual_mean_s": 0.1},
             {"workload": "rich-query", "scale": 120, "operations": 4,
              "wall_s": 1.0, "wall_ops_per_s": 90.0, "virtual_mean_s": 0.1},
         ]
-    }))
+    }
 
-    def report_with(tput):
+    def report_with(tput, scale=8):
         return PerfReport([
             PerfMeasurement(
-                workload="commit-heavy", scale=8, operations=8,
+                workload="commit-heavy", scale=scale, operations=scale,
                 wall_s=1.0, wall_ops_per_s=tput, virtual_mean_s=0.1,
             )
         ])
 
     # Within tolerance (3x): no failures; unmatched baseline rows skipped.
-    assert check_regression(report_with(400.0), baseline_path) == []
-    failures = check_regression(report_with(200.0), baseline_path)
+    assert check_regression_data(report_with(400.0), baseline) == []
+    failures = check_regression_data(report_with(200.0), baseline)
     assert len(failures) == 1 and "commit-heavy@8" in failures[0]
     # A custom tolerance moves the floor.
-    assert check_regression(report_with(200.0), baseline_path, tolerance=5.0) == []
+    assert check_regression_data(report_with(200.0), baseline, tolerance=5.0) == []
+
+
+def test_perf_regression_gate_fails_when_it_compares_nothing():
+    from repro.bench.perf import PerfMeasurement, PerfReport, check_regression_data
+
+    report = PerfReport([
+        PerfMeasurement(
+            workload="commit-heavy", scale=8, operations=8,
+            wall_s=1.0, wall_ops_per_s=1e9, virtual_mean_s=0.1,
+        )
+    ])
+    other_scale = {
+        "measurements": [
+            {"workload": "commit-heavy", "scale": 240, "operations": 240,
+             "wall_s": 1.0, "wall_ops_per_s": 1.0, "virtual_mean_s": 0.1},
+        ]
+    }
+    for baseline in ({}, {"measurements": []}, other_scale):
+        failures = check_regression_data(report, baseline)
+        assert len(failures) == 1 and "compared nothing" in failures[0]
 
 
 def test_cli_perf_runs_and_honours_baseline_gate(tmp_path, capsys):
@@ -401,3 +449,18 @@ def test_cli_perf_gate_not_vacuous_when_output_is_baseline(tmp_path, capsys):
     captured = capsys.readouterr()
     assert exit_code == 1
     assert "regression" in captured.out
+
+
+@pytest.mark.parametrize("experiment", ["perf", "fleet", "chaos"])
+@pytest.mark.parametrize("content", ["[]", "{not json"])
+def test_cli_gate_rejects_unusable_baseline_before_running(tmp_path, capsys, experiment, content):
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(content)
+    output = tmp_path / "out.json"
+    exit_code = main([
+        experiment, "--perf-output", str(output), "--perf-baseline", str(baseline),
+    ])
+    captured = capsys.readouterr()
+    assert exit_code == 1
+    assert f"{experiment} baseline {baseline}" in captured.out
+    assert not output.exists()

@@ -1,6 +1,10 @@
 """Batched commit delivery: buffering, window flushes, virtual-time parity."""
 
+from repro.api.protocol import StoreRequest
+from repro.common.events import COMMIT_BATCH_TOPIC
 from repro.consensus.batching import BatchConfig
+from repro.core.client import HyperProvClient
+from repro.core.topology import build_desktop_deployment
 from repro.workloads.fleet import (
     FleetSpec,
     build_fleet,
@@ -25,18 +29,70 @@ def run_mode(batch_commit_delivery: bool):
     return deployment
 
 
+def run_shared_host(batch_commit_delivery: bool):
+    """Two clients on one host node, one anchor peer, interleaved ``set``s.
+
+    Returns each client's ``(tx_id, committed_at, validation_code)`` list.
+    """
+    deployment = build_desktop_deployment(
+        seed=42, batch_config=BatchConfig(max_message_count=8)
+    )
+    fabric = deployment.fabric
+    fabric.config.batch_commit_delivery = batch_commit_delivery
+    org = deployment.channel.msp.organization("org1")
+    names = ("gateway-a", "gateway-b")
+    stores = {}
+    for name in names:
+        fabric.add_client(
+            name,
+            identity=org.enroll(name, role="client"),
+            device=deployment.client_device,
+            host_node="gateway",
+            anchor_peer=deployment.peers[0].name,
+        )
+        stores[name] = HyperProvClient(network=fabric, client_name=name).as_store()
+    handles = {name: [] for name in names}
+    for index in range(48):
+        name = names[index % 2]
+        handles[name].append(
+            stores[name].submit(
+                StoreRequest(
+                    key=f"shared/{index}",
+                    checksum=f"{index:064x}",
+                    location=f"file://shared/{index}",
+                )
+            )
+        )
+    deployment.drain()
+    return {
+        name: [
+            (h.handle.tx_id, h.committed_at, h.handle.validation_code) for h in submitted
+        ]
+        for name, submitted in handles.items()
+    }
+
+
 class TestBatchedCommitDelivery:
+    def test_shared_host_clients_commit_identically_in_both_modes(self):
+        """Clients sharing a host node share the anchor→host notify link,
+        so the completion order fixes their commit times: it must not
+        depend on the event-granularity switch."""
+        per_block = run_shared_host(batch_commit_delivery=False)
+        batched = run_shared_host(batch_commit_delivery=True)
+        assert all(len(rows) == 24 for rows in per_block.values())
+        assert batched == per_block
+
     def test_virtual_time_identical_to_per_block_path(self):
-        scan = run_mode(batch_commit_delivery=False)
-        indexed = run_mode(batch_commit_delivery=True)
-        for site in scan.sites:
-            assert commit_log_lines(indexed, site) == commit_log_lines(scan, site)
+        per_block = run_mode(batch_commit_delivery=False)
+        batched = run_mode(batch_commit_delivery=True)
+        for site in per_block.sites:
+            assert commit_log_lines(batched, site) == commit_log_lines(per_block, site)
 
     def test_commit_batch_published_per_flush_not_per_block(self):
         deployment = build_fleet(tiny_spec(), batch_commit_delivery=True)
         batches = []
         deployment.fabric.events.subscribe(
-            "commit_batch", lambda _topic, entries: batches.append(entries)
+            COMMIT_BATCH_TOPIC, lambda _topic, entries: batches.append(entries)
         )
         submit_fleet(deployment)
         deployment.drain()  # flush_and_drain flushes once at the end

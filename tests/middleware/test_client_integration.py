@@ -128,14 +128,13 @@ class TestBaselinePipelines:
         assert chain.verify_chain()
 
     def test_default_pipeline_preserves_legacy_behaviour(self):
-        """The deprecated blocking surface still works (and warns)."""
+        """The default pipeline keeps the central DB's silent-rewrite weakness."""
         device = DeviceModel("srv", XEON_E5_1603, rng=DeterministicRandom(7))
         db = CentralProvenanceDatabase(device)
-        with pytest.warns(DeprecationWarning):
-            result = db.store_record(make_record("a"))
-        assert result.latency_s > 0
+        store = db.as_store()
+        handle = store.submit(StoreRequest(key="a", checksum="0" * 64, location="db://x/a"))
+        assert handle.latency_s > 0
         assert db.record_count == 1
         tampered = db.tamper("a", "f" * 64)
-        with pytest.warns(DeprecationWarning):
-            assert db.get("a").checksum == tampered.checksum
+        assert store.get("a").checksum == tampered.checksum
         assert db.detect_tampering() == []
