@@ -10,7 +10,9 @@ request behind it in the chain.
 * **C301** — a ``PipelineConfig`` field is consumed by no code outside
   the dataclass definition itself.
 * **C302** — a ``PipelineConfig`` field does not appear (in backticks)
-  in ``docs/architecture.md``'s config table.
+  in ``docs/architecture.md``, or a backticked name in the first column
+  of that doc's ``| Config field`` table is not a ``PipelineConfig``
+  field (a row left behind by a deleted knob).
 * **C303** — a ``Middleware.handle`` override never references its
   ``call_next`` parameter and is not annotated
   ``# repro: terminal-middleware``.  *Referencing* (not just calling)
@@ -21,12 +23,18 @@ request behind it in the chain.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+import re
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.core import AnalysisContext, Finding, SourceFile
 
 CONFIG_MODULE = "src/repro/middleware/config.py"
 CONFIG_CLASS = "PipelineConfig"
+ARCHITECTURE_DOC = "docs/architecture.md"
+#: First header cell of the knob table; the check reads only that table
+#: (the doc's other tables backtick names that are not knobs).
+CONFIG_TABLE_HEADER = "Config field"
+_BACKTICKED = re.compile(r"`([^`]+)`")
 
 
 def _find_class(source: SourceFile, name: str) -> Optional[ast.ClassDef]:
@@ -116,7 +124,51 @@ def _check_config_knobs(context: AnalysisContext) -> List[Finding]:
             )
             if finding is not None:
                 findings.append(finding)
+    for name, line in _config_table_names(context.architecture_doc):
+        if name in fields:
+            continue
+        findings.append(
+            Finding(
+                rule="C302",
+                path=ARCHITECTURE_DOC,
+                line=line,
+                message=(
+                    f"config table row names `{name}`, which is not a "
+                    "PipelineConfig field"
+                ),
+                hint="delete the row or rename it to the field that replaced the knob",
+                symbol=f"config-table.{name}",
+            )
+        )
     return findings
+
+
+def _first_cell(line: str) -> Optional[str]:
+    """A markdown table row's first cell, or ``None`` for a non-row line."""
+    stripped = line.strip()
+    if not stripped.startswith("|"):
+        return None
+    return stripped.split("|")[1].strip()
+
+
+def _config_table_names(doc: str) -> Iterator[Tuple[str, int]]:
+    """Backticked names in the first column of the ``| Config field`` table,
+    with their doc line numbers."""
+    lines = doc.splitlines()
+    header = next(
+        (i for i, line in enumerate(lines) if _first_cell(line) == CONFIG_TABLE_HEADER),
+        None,
+    )
+    if header is None:
+        return
+    # Skip the header and its separator row; the table ends at the first
+    # line that is not a row.
+    for index in range(header + 2, len(lines)):
+        cell = _first_cell(lines[index])
+        if cell is None:
+            return
+        for name in _BACKTICKED.findall(cell):
+            yield name, index + 1
 
 
 def _middleware_base_names(cls: ast.ClassDef) -> Set[str]:

@@ -41,7 +41,7 @@ RULES: Dict[str, Tuple[str, str]] = {
     "A202": ("layering", "module-level import cycle"),
     "A203": ("layering", "restricted package imported outside its seam"),
     "C301": ("contract", "PipelineConfig knob consumed by no middleware/stage"),
-    "C302": ("contract", "PipelineConfig knob missing from the docs config table"),
+    "C302": ("contract", "PipelineConfig knobs and the docs config table out of step"),
     "C303": ("contract", "middleware neither forwards nor terminates the chain"),
     "T401": ("threading", "thread-shared attribute mutated outside the lock"),
     "T402": ("threading", "EventBus handler list mutated outside the safe API"),

@@ -1,8 +1,8 @@
 """Fleet-scale wall-clock benchmark (``bench fleet``).
 
 Runs the 10k-device metadata-post fleet twice — once on the parallel
-executor (multi-process shard workers, batched commit delivery) and once
-on the sequential engine — and reports the wall-clock speedup plus the
+executor (multi-process shard workers) and once on the sequential
+engine — and reports the wall-clock speedup plus the
 virtual-time **determinism anchor**: a digest over every site's commit log
 (tx ids, submit/commit times, validation codes, block numbers).  The two
 runs must produce byte-identical anchors; a mismatch fails the benchmark

@@ -15,9 +15,6 @@ EventHandler = Callable[[str, Any], None]
 #: Topic carrying each delivered block with its per-peer commit results
 #: (covers deletes and foreign writes); published once per block.
 BLOCK_DELIVERED_TOPIC = "block_delivered"
-#: Batched counterpart: every block delivered in one barrier window,
-#: published together when the network runs with ``batch_commit_delivery``.
-COMMIT_BATCH_TOPIC = "commit_batch"
 
 
 @dataclass
@@ -177,22 +174,6 @@ class EventBus:
         if errors:
             raise errors[0]
         return delivered
-
-    def publish_batch(self, topic: str, payloads: List[Any]) -> int:
-        """Deliver a whole window of payloads as **one** handler invocation.
-
-        The batched form of :meth:`publish`: handlers subscribed to
-        ``topic`` receive the payload *list* in a single call instead of
-        one call per payload.  This is the commit-delivery coalescing the
-        parallel executor relies on — per-block notification fan-out is
-        buffered and handed over once per barrier window, so subscriber
-        dispatch cost is paid per window, not per block.
-
-        An empty batch is a no-op (nothing is published, no handler runs).
-        """
-        if not payloads:
-            return 0
-        return self.publish(topic, payloads)
 
     def topics(self) -> List[str]:
         """Topics that currently have at least one subscriber."""

@@ -37,13 +37,18 @@ from repro.common.errors import (
     NotFoundError,
     ValidationError,
 )
+from repro.common.events import Subscription
 from repro.common.hashing import checksum_of
 from repro.common.metrics import MetricsRegistry
 from repro.fabric.network import FabricNetwork
 from repro.fabric.proposal import ProposalResponse, TransactionHandle
 from repro.ledger.history import HistoryEntry
 from repro.middleware.base import TransactionPipeline
-from repro.middleware.cache import ReadCacheMiddleware, SharedReadCache
+from repro.middleware.cache import (
+    PROVENANCE_RECORDED_TOPIC,
+    ReadCacheMiddleware,
+    SharedReadCache,
+)
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.context import Context, OperationKind
 from repro.provenance.graph import ProvenanceGraph
@@ -437,15 +442,15 @@ class HyperProvClient:
             )
         return QueryResult(payload=records, latency_s=latency, stale=ctx.stale)
 
-    def on_provenance_recorded(self, callback) -> None:
+    def on_provenance_recorded(self, callback) -> Subscription:
         """Subscribe to the chaincode event emitted on every committed ``set``.
 
         ``callback`` receives a dict with ``key``, ``checksum``, ``creator``,
         ``tx_id`` and ``block_number`` once the recording transaction commits
         — the push-style integration the NodeJS client library offers through
-        Fabric's event hub.
+        Fabric's event hub.  Returns the bus subscription: ``cancel()`` it
+        (or use it as a context manager) to detach the listener.
         """
-        event_topic = "chaincode_event:provenance_recorded"
 
         def _handler(_topic: str, payload: Dict[str, Any]) -> None:
             details = json.loads(payload.get("payload") or "{}")
@@ -454,7 +459,7 @@ class HyperProvClient:
             )
             callback(details)
 
-        self.network.events.subscribe(event_topic, _handler)
+        return self.network.events.subscribe(PROVENANCE_RECORDED_TOPIC, _handler)
 
     def get_by_range(
         self,

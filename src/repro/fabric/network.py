@@ -27,7 +27,7 @@ from repro.common.errors import (
     NetworkError,
     NotFoundError,
 )
-from repro.common.events import BLOCK_DELIVERED_TOPIC, COMMIT_BATCH_TOPIC, EventBus
+from repro.common.events import BLOCK_DELIVERED_TOPIC, EventBus
 from repro.common.ids import DeterministicIdGenerator
 from repro.common.metrics import MetricsRegistry
 from repro.consensus.base import OrderingService
@@ -69,13 +69,6 @@ class FabricNetworkConfig:
     #: Endorsed envelopes coalesced into one orderer submission (1 = off,
     #: reproducing the unbatched per-transaction transfer exactly).
     order_batch_size: int = 1
-    #: Commit-event granularity for observers: buffer the per-block
-    #: ``block_delivered``/chaincode-event fan-out until
-    #: :meth:`FabricNetwork.flush_commit_events` publishes the whole window
-    #: as one ``commit_batch`` callback.  Handles complete the same way and
-    #: at the same virtual times either way.  This is the delivery mode the
-    #: parallel shard workers run.
-    batch_commit_delivery: bool = False
 
 
 @dataclass
@@ -150,9 +143,6 @@ class FabricNetwork:
         #: block commit finds its handles with an O(block txs) lookup
         #: instead of scanning every registered client.
         self._pending_index: Dict[str, _ClientContext] = {}
-        #: Per-shard commit notifications buffered until the next
-        #: :meth:`flush_commit_events` (barrier-window boundary).
-        self._commit_buffers: Dict[int, List[Dict]] = {}
         #: Per-tenant fair-share weights the deployment was built with;
         #: ``set_scheduler`` falls back to these so a policy swap through
         #: a PipelineConfig does not silently reset custom weights.
@@ -253,19 +243,6 @@ class FabricNetwork:
     @property
     def order_batcher(self) -> EndorsementBatcher:
         return self._shards[0].batcher
-
-    @property
-    def invoke_pipeline(self) -> TransactionPipeline:
-        return self._shards[0].pipeline
-
-    @property
-    def _peers(self) -> Dict[str, Peer]:
-        """Shard 0's peer registry (compat for single-channel callers)."""
-        return self._shards[0].peers
-
-    @property
-    def _ordered_blocks(self) -> List[Block]:
-        return self._shards[0].ordered_blocks
 
     # ------------------------------------------------------------- topology
     def add_peer(self, peer: Peer, shard: int = 0) -> None:
@@ -703,14 +680,6 @@ class FabricNetwork:
             commit_results[peer.name] = peer.deliver_block(block, arrivals[peer.name])
 
         self.metrics.counter("blocks_delivered").inc()
-        if self.config.batch_commit_delivery:
-            # Handles still complete *now*; only the observer fan-out is
-            # deferred to the next flush_commit_events() window.
-            self._commit_buffers.setdefault(shard_index, []).append(
-                {"block": block, "commits": commit_results, "shard": shard_index}
-            )
-            self._complete_handles(block, commit_results)
-            return
         self._publish(
             shard,
             BLOCK_DELIVERED_TOPIC,
@@ -806,58 +775,6 @@ class FabricNetwork:
             self.metrics.counter("txs_invalidated").inc()
         self.metrics.histogram("tx_latency_s").observe(handle.latency_s)
 
-    def flush_commit_events(self, shard: Optional[int] = None) -> int:
-        """Publish buffered commit notifications as one batch per stream.
-
-        Under ``batch_commit_delivery`` every ordered block appends one
-        entry (block, per-peer commits, shard) to its shard's buffer; this
-        drains the buffer of one shard (or all of them) into a single
-        ``commit_batch`` publish, plus one ``chaincode_event_batch:{name}``
-        publish per distinct event name.  The parallel executor calls this
-        at each barrier-window boundary.  Returns the number of block
-        entries flushed.
-        """
-        indices = [shard] if shard is not None else sorted(self._commit_buffers)
-        flushed = 0
-        for index in indices:
-            entries = self._commit_buffers.pop(index, [])
-            if not entries:
-                continue
-            target = self.shard(index)
-            events_by_name: Dict[str, List[Dict]] = {}
-            for entry in entries:
-                commits = entry["commits"]
-                if not commits:
-                    continue
-                block = entry["block"]
-                reference = next(iter(commits.values()))
-                for tx, code in zip(block.transactions, reference.validation_codes):
-                    if code is TxValidationCode.VALID and tx.chaincode_event is not None:
-                        event_name, event_payload = tx.chaincode_event
-                        events_by_name.setdefault(event_name, []).append(
-                            {
-                                "tx_id": tx.tx_id,
-                                "name": event_name,
-                                "payload": event_payload,
-                                "block_number": block.number,
-                                "shard": index,
-                            }
-                        )
-            target.events.publish_batch(COMMIT_BATCH_TOPIC, entries)
-            self.events.publish_batch(COMMIT_BATCH_TOPIC, entries)
-            for event_name in sorted(events_by_name):
-                payloads = events_by_name[event_name]
-                topic = f"chaincode_event_batch:{event_name}"
-                target.events.publish_batch(topic, payloads)
-                self.events.publish_batch(topic, payloads)
-            flushed += len(entries)
-        return flushed
-
-    @property
-    def buffered_commit_events(self) -> int:
-        """Block entries awaiting the next :meth:`flush_commit_events`."""
-        return sum(len(entries) for entries in self._commit_buffers.values())
-
     # ---------------------------------------------------------------- query
     def query(
         self,
@@ -928,8 +845,6 @@ class FabricNetwork:
             executed += int(self.engine.run_until_idle(max_events=max_events))
             if not any(shard.batcher.queued for shard in self._shards):
                 break
-        if self.config.batch_commit_delivery:
-            self.flush_commit_events()
         reason = "deadlock" if self.in_flight() > 0 else "idle"
         return RunOutcome(executed, reason)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.common.errors import CircuitOpenError, NetworkError
-from repro.common.events import BLOCK_DELIVERED_TOPIC, COMMIT_BATCH_TOPIC, EventBus
+from repro.common.events import BLOCK_DELIVERED_TOPIC, EventBus
 from repro.common.metrics import MetricsRegistry
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
@@ -21,9 +21,6 @@ UNREACHABLE_ERRORS = (NetworkError, CircuitOpenError)
 
 #: Topic carrying the chaincode event every committed ``set`` emits.
 PROVENANCE_RECORDED_TOPIC = "chaincode_event:provenance_recorded"
-#: Batched counterpart published once per barrier window when the network
-#: runs with ``batch_commit_delivery`` (the parallel executor's mode).
-PROVENANCE_RECORDED_BATCH_TOPIC = "chaincode_event_batch:provenance_recorded"
 
 #: Read functions whose first argument names the single key they depend on
 #: (the Fabric chaincode's read set plus the baselines' ``get``/``history``).
@@ -166,14 +163,11 @@ class ReadCacheMiddleware(Middleware):
             self.attach(events)
 
     # -------------------------------------------------------------- wiring
-    def attach(self, events: EventBus, batched: bool = False) -> None:
+    def attach(self, events: EventBus) -> None:
         """Subscribe to one bus whose commit events invalidate entries.
 
         May be called several times — once per shard event stream on a
-        multi-channel network.  ``batched=True`` additionally subscribes to
-        the window-batched commit topics, so invalidation keeps working when
-        the network defers per-block fan-out to barrier-window flushes
-        (``batch_commit_delivery`` / the ``parallel`` pipeline knob).
+        multi-channel network.
         """
         stack = self._subscriptions
         stack.enter_context(
@@ -182,15 +176,6 @@ class ReadCacheMiddleware(Middleware):
         stack.enter_context(
             events.subscribe(BLOCK_DELIVERED_TOPIC, self._on_block_delivered)
         )
-        if batched:
-            stack.enter_context(
-                events.subscribe(
-                    PROVENANCE_RECORDED_BATCH_TOPIC, self._on_provenance_batch
-                )
-            )
-            stack.enter_context(
-                events.subscribe(COMMIT_BATCH_TOPIC, self._on_commit_batch)
-            )
 
     def close(self) -> None:
         self._subscriptions.close()
@@ -292,14 +277,6 @@ class ReadCacheMiddleware(Middleware):
                 continue
             for write in rw_set.writes:
                 self.invalidate_key(write.key)
-
-    def _on_provenance_batch(self, topic: str, payloads: Any) -> None:
-        for payload in payloads if isinstance(payloads, list) else []:
-            self._on_provenance_recorded(topic, payload)
-
-    def _on_commit_batch(self, topic: str, entries: Any) -> None:
-        for entry in entries if isinstance(entries, list) else []:
-            self._on_block_delivered(topic, entry)
 
     # -------------------------------------------------------- introspection
     def __len__(self) -> int:

@@ -79,12 +79,6 @@ class PipelineConfig:
     #: Back the read cache with the deployment's shared cache tier instead
     #: of a pipeline-private store (needs ``cache=True`` to matter).
     shared_cache: bool = False
-    #: The pipeline targets a network running batched commit delivery (the
-    #: parallel executor's mode): commit-driven middlewares — today the
-    #: read cache — additionally subscribe to the window-batched topics
-    #: (``commit_batch`` and ``chaincode_event_batch:*``) so invalidation
-    #: keeps working when per-block fan-out is deferred to barrier flushes.
-    parallel: bool = False
     #: Field-value secondary indexes maintained on every peer's world state
     #: (record fields, ``metadata.<key>`` or ``metadata.*``; empty = none).
     #: Enables the query-planner middleware and, when the config is applied
@@ -299,9 +293,9 @@ def build_client_middlewares(
         )
         if cache_events is not None:
             for bus in cache_events:
-                cache.attach(bus, batched=config.parallel)
+                cache.attach(bus)
         elif events is not None:
-            cache.attach(events, batched=config.parallel)
+            cache.attach(events)
         middlewares.append(cache)
     if config.shards > 1:
         middlewares.append(ShardRouterMiddleware(config.shards, metrics=metrics))

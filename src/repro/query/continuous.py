@@ -8,11 +8,10 @@ the handle when no callback is given) — the realtime push counterpart of
 the poll-style rich query, fed by exactly the commit-event topics the
 read-cache invalidation already consumes.
 
-Exactly-once delivery falls out of the network's event topology: a block
-is published either per-block (``block_delivered``) or once inside a
-barrier-window batch (``commit_batch``) — never both — and the aggregate
-bus carries every shard's stream, so multi-shard routing needs no extra
-work here.  Invalidated transactions (MVCC conflicts and friends) are
+Exactly-once delivery falls out of the network's event topology: every
+block is published once (``block_delivered``) and the aggregate bus
+carries every shard's stream, so multi-shard routing needs no extra work
+here.  Invalidated transactions (MVCC conflicts and friends) are
 filtered out by the per-block validation codes, so subscribers see only
 records that actually reached the world state.
 """
@@ -20,13 +19,12 @@ records that actually reached the world state.
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from types import TracebackType
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.common.errors import ValidationError
-from repro.common.events import BLOCK_DELIVERED_TOPIC, COMMIT_BATCH_TOPIC, EventBus
+from repro.common.events import BLOCK_DELIVERED_TOPIC, EventBus
 from repro.ledger.transaction import TxValidationCode
 from repro.query.selectors import (
     RESERVED_SELECTOR_FIELDS,
@@ -91,23 +89,14 @@ class ContinuousQueryRegistry:
     """Fan committed records out to matching standing selectors.
 
     Attach to the network's *aggregate* event bus (``fabric.events``): it
-    carries each ordered block exactly once across all shards, via either
-    the per-block or the window-batched topic depending on the delivery
-    mode — the registry subscribes to both, and the network guarantees
-    they are mutually exclusive per block.
+    carries each ordered block exactly once across all shards.
     """
 
     def __init__(self, events: EventBus) -> None:
         self._queries: Dict[str, ContinuousQuery] = {}
         self._counter = 0
-        #: Bus subscriptions are context managers; the stack guarantees
-        #: both detach on close even if one cancel raises.
-        self._subscriptions = ExitStack()
-        self._subscriptions.enter_context(
-            events.subscribe(BLOCK_DELIVERED_TOPIC, self._on_block_delivered)
-        )
-        self._subscriptions.enter_context(
-            events.subscribe(COMMIT_BATCH_TOPIC, self._on_commit_batch)
+        self._subscription = events.subscribe(
+            BLOCK_DELIVERED_TOPIC, self._on_block_delivered
         )
 
     # ----------------------------------------------------------- lifecycle
@@ -156,7 +145,7 @@ class ContinuousQueryRegistry:
 
     def close(self) -> None:
         """Cancel every standing query and detach from the commit stream."""
-        self._subscriptions.close()
+        self._subscription.cancel()
         for query in list(self._queries.values()):
             query.cancel()
 
@@ -165,10 +154,6 @@ class ContinuousQueryRegistry:
         return len(self._queries)
 
     # ------------------------------------------------------------- delivery
-    def _on_commit_batch(self, topic: str, entries: Any) -> None:
-        for entry in entries if isinstance(entries, list) else []:
-            self._on_block_delivered(topic, entry)
-
     def _on_block_delivered(self, _topic: str, payload: Any) -> None:
         if not self._queries or not isinstance(payload, dict):
             return

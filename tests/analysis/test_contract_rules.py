@@ -41,6 +41,18 @@ def test_finding_messages_name_the_knob(bad_context):
     assert "dead_knob" in by_line[11].message
 
 
+def test_config_table_row_without_a_field_fires_c302(bad_context):
+    findings = check_contracts(bad_context)
+    # retired_knob (doc line 11) names no PipelineConfig field; the fault
+    # table below it backticks `partition` and must not be read.
+    assert pairs(findings, "docs/architecture.md") == [("C302", 11)]
+    finding = next(
+        f for f in findings if f.path.endswith("docs/architecture.md")
+    )
+    assert "retired_knob" in finding.message
+    assert finding.symbol == "config-table.retired_knob"
+
+
 def test_swallowing_middleware_fires_c303(bad_context):
     findings = check_contracts(bad_context)
     assert pairs(findings, "middleware/stages.py") == [("C303", 23)]

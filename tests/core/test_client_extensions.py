@@ -129,6 +129,24 @@ def test_provenance_recorded_event_fires_on_commit(desktop_deployment):
     assert event["block_number"] == post.handle.commit_block
 
 
+def test_cancelled_provenance_listener_receives_nothing(desktop_deployment):
+    client = desktop_deployment.client
+    received = []
+    subscription = client.on_provenance_recorded(received.append)
+    store = client.as_store()
+    store.submit(StoreRequest(key="events/before", data=b"one"))
+    desktop_deployment.drain()
+    assert [event["key"] for event in received] == ["events/before"]
+
+    subscription.cancel()
+    store.submit(StoreRequest(key="events/after", data=b"two"))
+    desktop_deployment.drain()
+    assert [event["key"] for event in received] == ["events/before"]
+    assert "chaincode_event:provenance_recorded" not in (
+        desktop_deployment.fabric.events.topics()
+    )
+
+
 def test_no_event_for_invalidated_transaction(desktop_deployment):
     client = desktop_deployment.client
     received = []

@@ -4,15 +4,17 @@ These run against full deployments so the invalidation path exercises the
 real commit events (chaincode event + block delivery) rather than mocks.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.api.protocol import StoreRequest
-from repro.common.events import EventBus
+from repro.common.events import BLOCK_DELIVERED_TOPIC, EventBus
 from repro.common.metrics import MetricsRegistry
 from repro.core.topology import build_desktop_deployment
 from repro.middleware.base import TransactionPipeline
 from repro.middleware.cache import ReadCacheMiddleware
-from repro.middleware.config import PipelineConfig
+from repro.middleware.config import PipelineConfig, build_client_middlewares
 from repro.middleware.context import Context, OperationKind
 
 
@@ -90,6 +92,24 @@ class TestReadCacheUnit:
             {"payload": '{"key": "sensor/1"}', "tx_id": "tx-0"},
         )
         assert len(cache) == 0
+
+    def test_block_delivered_invalidates_cache(self):
+        bus = EventBus()
+        middlewares = build_client_middlewares(
+            PipelineConfig(cache=True, tracing=False, metrics=False), events=bus
+        )
+        cache = next(m for m in middlewares if isinstance(m, ReadCacheMiddleware))
+        pipeline = TransactionPipeline(middlewares, terminal=lambda ctx: ("x", 0.1))
+        pipeline.execute(read_ctx("get", args=("written",)))
+        pipeline.execute(read_ctx("get", args=("untouched",)))
+        assert len(cache) == 2
+        writes = [SimpleNamespace(key="written")]
+        block = SimpleNamespace(
+            transactions=[SimpleNamespace(rw_set=SimpleNamespace(writes=writes))]
+        )
+        bus.publish(BLOCK_DELIVERED_TOPIC, {"block": block, "shard": 0})
+        remaining = [args for (_, _, args) in cache.cached_keys()]
+        assert remaining == [("untouched",)]
 
     def test_close_cancels_subscriptions(self):
         bus = EventBus()

@@ -156,24 +156,6 @@ def test_deletes_are_not_delivered():
     assert [event["key"] for event in seen] == ["iot/kept"]
 
 
-def test_commit_batch_topic_delivers_each_block_once():
-    """In batched delivery mode the network publishes ``commit_batch``
-    *instead of* per-block events — the registry must not double-count."""
-    bus = EventBus()
-    registry = ContinuousQueryRegistry(bus)
-    seen = []
-    registry.register({"_prefix": "iot/"}, callback=seen.append)
-    entries = [
-        block_payload(0, [WriteSetEntry("iot/a", record_value("iot/a"))]),
-        block_payload(1, [WriteSetEntry("iot/b", record_value("iot/b"))], shard=1),
-    ]
-    bus.publish("commit_batch", entries)
-    assert [(event["key"], event["shard"]) for event in seen] == [
-        ("iot/a", 0),
-        ("iot/b", 1),
-    ]
-
-
 def test_without_callback_events_buffer_on_the_handle():
     bus = EventBus()
     registry = ContinuousQueryRegistry(bus)

@@ -11,8 +11,9 @@ import os
 
 import pytest
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError, NotFoundError, SimulationError
 from repro.consensus.batching import BatchConfig
+from repro.core.client import HyperProvClient
 from repro.core.topology import DeploymentSpec, build_deployment
 from repro.devices.profiles import DESKTOP_PROFILES, XEON_E5_1603
 from repro.simulation import parallel
@@ -21,12 +22,15 @@ from repro.simulation.parallel import (
     MIN_LOOKAHEAD_S,
     ShardRunStats,
     _assign_sites,
+    _prepare_worker_deployment,
     conservative_lookahead,
     run_fleet_parallel,
     run_fleet_sequential,
     window_count,
 )
-from repro.workloads.fleet import FleetSpec
+from repro.middleware.cache import ReadCacheMiddleware
+from repro.middleware.config import PipelineConfig
+from repro.workloads.fleet import FleetSpec, device_name
 
 
 def property_spec(**overrides) -> FleetSpec:
@@ -125,6 +129,47 @@ class TestBarrierProtocol:
         stats = ShardRunStats(worker=0, sites=[0], busy_wall_s=3.0, barrier_stall_s=1.0)
         assert stats.utilization == pytest.approx(0.75)
         assert ShardRunStats(worker=0, sites=[0]).utilization == 0.0
+
+
+class TestWorkerCommitEvents:
+    def test_worker_site_publishes_every_commit(self):
+        """A worker-built site publishes every commit to the observers a
+        client attaches: the provenance listener and a default read cache.
+        """
+        spec = FleetSpec(
+            devices=20, shards=2, rate_per_device_s=0.1, duration_s=30.0,
+            seed=5, batch_config=BatchConfig(max_message_count=1),
+        )
+        deployment, submitted = _prepare_worker_deployment(spec, [0])
+        client = HyperProvClient(
+            network=deployment.fabric,
+            client_name=device_name(0),
+            pipeline_config=PipelineConfig(cache=True),
+        )
+        cache = next(
+            m for m in client.pipeline.middlewares
+            if isinstance(m, ReadCacheMiddleware)
+        )
+        recorded = []
+        client.on_provenance_recorded(recorded.append)
+        store = client.as_store()
+        key = "fleet/dev0/r0"
+        # The not-yet-written key's "not found" answer is cached; the
+        # commit that writes the key must drop it.
+        with pytest.raises(NotFoundError):
+            store.get(key)
+        assert [args for (_, _, args) in cache.cached_keys()] == [(key,)]
+
+        window = 5.0
+        for index in range(window_count(spec.duration_s, window)):
+            deployment.engine.run(until=(index + 1) * window)
+        deployment.drain()
+
+        committed = [h.tx_id for _, h in deployment.handles[0] if h.is_valid]
+        assert len(committed) == submitted > 0
+        assert sorted(event["tx_id"] for event in recorded) == sorted(committed)
+        assert cache.cached_keys() == []
+        assert store.get(key).key == key
 
 
 class TestDeploymentWorkersKnob:
